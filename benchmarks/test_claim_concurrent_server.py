@@ -7,7 +7,10 @@ several users try to access data from the same device."
 Where C-QUEUE studies the raw device queue, this experiment studies the
 *serving stack*: many workstation sessions multiplexed through the
 concurrent frontend onto one optical device.  The load harness replays
-deterministic zipf-skewed multi-user schedules and measures:
+deterministic zipf-skewed multi-user schedules — in virtual time on a
+one-node, one-replica cluster router (``replay_cluster``), which is
+exactly one shared FIFO device, and in real threads through the
+frontend (``replay_threaded``) — and measures:
 
 1. p95 latency vs. concurrent users on a cold (uncached) server —
    the queueing-delay curve the paper worries about;
@@ -22,19 +25,18 @@ deterministic zipf-skewed multi-user schedules and measures:
 
 import pytest
 
+from repro.cluster import ClusterNode, ClusterRouter, replay_cluster
 from repro.scenarios import build_object_library
 from repro.server import (
     Archiver,
     CachingArchiver,
     ServerFrontend,
-    ServerMetrics,
     build_schedule,
     replay_threaded,
-    replay_virtual,
     station_subset,
 )
 from repro.storage.cache import LRUCache
-from repro.trace import EventKind, Trace
+from repro.trace import EventKind
 
 CACHE_BYTES = 50_000_000
 USERS_SWEEP = (1, 2, 4, 8, 16)
@@ -45,6 +47,18 @@ def library():
     archiver = Archiver()
     build_object_library(archiver, visual_count=10, audio_count=4)
     return archiver
+
+
+def _one_device(library):
+    """The single shared optical device: a one-node, one-replica router."""
+    return ClusterRouter([ClusterNode(0, library)], replication=1)
+
+
+def _hit_rate(router):
+    """Share of the router's reads that did no device work."""
+    reads = router.metrics.trace.of_kind(EventKind.CLUSTER_READ)
+    hits = sum(event.detail["service_s"] == 0.0 for event in reads)
+    return hits / len(reads)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +81,9 @@ def test_p95_latency_grows_with_concurrent_users(library, schedule, results):
     """Claim (a): queueing delay rises monotonically with contention."""
     curve = []
     for users in USERS_SWEEP:
-        report = replay_virtual(library, station_subset(schedule, users))
+        report = replay_cluster(
+            _one_device(library), station_subset(schedule, users)
+        )
         curve.append((users, report.p95_s, report.mean_s))
         results.record(
             "C-CONC concurrent frontend",
@@ -83,8 +99,10 @@ def test_p95_latency_grows_with_concurrent_users(library, schedule, results):
 
 def test_cache_single_flight_halves_device_busy_time(library, schedule, results):
     """Claim (b): shared cache + single-flight cut optical busy time >= 2x."""
-    cold = replay_virtual(library, schedule)
-    warm = replay_virtual(library, schedule, cache_bytes=CACHE_BYTES)
+    cold = replay_cluster(_one_device(library), schedule)
+    warm = replay_cluster(
+        _one_device(library), schedule, cache_bytes=CACHE_BYTES
+    )
     ratio = cold.device_busy_s / warm.device_busy_s
     results.record(
         "C-CONC concurrent frontend",
@@ -124,31 +142,28 @@ def test_threaded_frontend_shows_same_busy_time_win(library, schedule, results):
 
 def test_metrics_histograms_tell_same_story(library, schedule, results):
     """Claim (c): the observability layer reproduces the replay numbers."""
-    trace = Trace()
-    cold_metrics = ServerMetrics(trace)
-    cold = replay_virtual(library, schedule, metrics=cold_metrics)
-    warm_metrics = ServerMetrics()
-    warm = replay_virtual(
-        library, schedule, cache_bytes=CACHE_BYTES, metrics=warm_metrics
-    )
-    cold_snap = cold_metrics.snapshot()
-    warm_snap = warm_metrics.snapshot()
+    cold_router = _one_device(library)
+    cold = replay_cluster(cold_router, schedule)
+    warm_router = _one_device(library)
+    replay_cluster(warm_router, schedule, cache_bytes=CACHE_BYTES)
+    cold_p95 = cold_router.metrics.snapshot().read_latency.percentile(95)
+    warm_p95 = warm_router.metrics.snapshot().read_latency.percentile(95)
+    reads = cold_router.metrics.trace.of_kind(EventKind.CLUSTER_READ)
     results.record(
         "C-CONC concurrent frontend",
-        f"histograms: cold p95 {cold_snap.latency.percentile(95) * 1000:.0f}ms "
+        f"histograms: cold p95 {cold_p95 * 1000:.0f}ms "
         f"(replay {cold.p95_s * 1000:.0f}ms), warm hit rate "
-        f"{warm_snap.hit_rate:.0%}, {len(trace)} trace events",
+        f"{_hit_rate(warm_router):.0%}, {len(reads)} trace events",
     )
     # Every request surfaced through the trace.
-    completes = trace.of_kind(EventKind.SERVER_COMPLETE)
-    assert len(completes) == len(schedule)
+    assert len(reads) == len(schedule)
     # Histogram p95 brackets the exact replay p95 within one log bucket.
-    assert cold_snap.latency.percentile(95) >= cold.p95_s * 0.8
-    assert cold_snap.latency.percentile(95) <= cold.p95_s * 1.5
-    # The cache story is visible in the counters, not just the replay.
-    assert cold_snap.hit_rate == 0.0
-    assert warm_snap.hit_rate > 0.8
-    assert warm_snap.latency.percentile(95) < cold_snap.latency.percentile(95)
+    assert cold_p95 >= cold.p95_s * 0.8
+    assert cold_p95 <= cold.p95_s * 1.5
+    # The cache story is visible in the events, not just the replay.
+    assert _hit_rate(cold_router) == 0.0
+    assert _hit_rate(warm_router) > 0.8
+    assert warm_p95 < cold_p95
 
 
 def test_admission_control_sheds_load_under_burst(library, results):
@@ -178,4 +193,8 @@ def test_admission_control_sheds_load_under_burst(library, results):
 
 
 def test_virtual_replay_speed(benchmark, library, schedule):
-    benchmark(replay_virtual, library, schedule, cache_bytes=CACHE_BYTES)
+    benchmark(
+        lambda: replay_cluster(
+            _one_device(library), schedule, cache_bytes=CACHE_BYTES
+        )
+    )

@@ -8,8 +8,8 @@ fails reads over across replicas (:mod:`~repro.cluster.router`), and
 membership changes migrate only the ring-diff minimum
 (:mod:`~repro.cluster.rebalance`).  See ``docs/CLUSTER.md``.
 
-Heavy submodules are loaded lazily: :mod:`repro.index.sharding`
-re-exports the ring from :mod:`~repro.cluster.placement`, and an eager
+Heavy submodules are loaded lazily: :mod:`repro.index.archive_index`
+takes its term ring from :mod:`~repro.cluster.placement`, and an eager
 import of the router here would close a cycle through
 ``repro.server`` → ``repro.index`` back into this package.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "ClusterNode",
     "NodeStatus",
     "ClusterRouter",
-    "ClusterLoadReport",
     "RouterFuture",
     "StoreOutcome",
     "replay_cluster",
@@ -43,7 +42,6 @@ _LAZY = {
     "ClusterNode": "repro.cluster.node",
     "NodeStatus": "repro.cluster.node",
     "ClusterRouter": "repro.cluster.router",
-    "ClusterLoadReport": "repro.cluster.router",
     "RouterFuture": "repro.cluster.router",
     "StoreOutcome": "repro.cluster.router",
     "replay_cluster": "repro.cluster.router",

@@ -4,10 +4,9 @@ This module generalizes the consistent-hash ring that PR 4 introduced
 for index term sharding into the archive-wide placement layer of the
 cluster subsystem: the same ring that spreads *terms* over index
 shards now also spreads *objects* over archiver nodes, with an ordered
-walk producing replica sets.  ``repro.index.sharding`` re-exports
-:class:`HashRing` and :func:`stable_hash` unchanged, so shard
-assignments are byte-identical to the pre-extraction layout (pinned by
-a regression test).
+walk producing replica sets.  :class:`~repro.index.ArchiveIndex` takes
+its term ring from here, and shard assignments are byte-identical to
+the pre-extraction layout (pinned by a regression test).
 
 Two properties carry all the placement guarantees:
 
@@ -40,10 +39,11 @@ def stable_hash(key: str) -> int:
 class HashRing:
     """Consistent hash ring mapping string keys to integer owner ids.
 
-    Owners are index shards (``repro.index.sharding``) or cluster
-    nodes (:class:`Placement`); the ring does not care.  Virtual-point
-    labels keep the historical ``shard:{id}:{replica}`` format so
-    assignments made before the ring moved here are byte-identical.
+    Owners are index shards (:class:`~repro.index.ArchiveIndex`) or
+    cluster nodes (:class:`Placement`); the ring does not care.
+    Virtual-point labels keep the historical ``shard:{id}:{replica}``
+    format so assignments made before the ring moved here are
+    byte-identical.
 
     Parameters
     ----------

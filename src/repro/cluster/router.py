@@ -18,18 +18,16 @@ Only when every replica is exhausted does the client see an error —
 and it sees a *retryable* one if any replica failed transiently, so
 :func:`repro.delivery.pipeline.fetch_with_retry` composes unchanged.
 
-:func:`replay_cluster` is the cluster analogue of
-:func:`repro.server.loadgen.replay_virtual`: a deterministic
-virtual-time replay with one device timeline per node,
-join-shortest-queue replica choice, optional per-node caches, and
-optional hedged reads — the engine behind the C-CLUSTER benchmark.
+:func:`replay_cluster` is the repo's one deterministic virtual-time
+replay: one device timeline per node, join-shortest-queue replica
+choice, optional per-node caches, and optional hedged reads — the
+engine behind the C-CLUSTER benchmark, and, on a one-node router, the
+single shared device of the C-CONC benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode
@@ -46,8 +44,7 @@ from repro.obs.context import bind as bind_span
 from repro.obs.context import current as current_span
 from repro.obs.spans import SpanKind as ObsSpanKind
 from repro.obs.spans import SpanStatus as ObsSpanStatus
-from repro.server.loadgen import LoadRequest
-from repro.server.metrics import percentile as shared_percentile
+from repro.server.loadgen import LoadReport, LoadRequest
 from repro.storage.cache import LRUCache
 
 #: Per-replica failures the read path fails over on.  A missing copy is
@@ -672,42 +669,6 @@ class ClusterRouter:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ClusterLoadReport:
-    """Aggregate outcome of :func:`replay_cluster`."""
-
-    latencies: list[float] = field(default_factory=list)
-    failed_reads: int = 0
-    failovers: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    cache_hits: int = 0
-    piggybacks: int = 0
-    #: node id -> reads served there.
-    node_reads: dict[int, int] = field(default_factory=dict)
-    #: node id -> simulated busy seconds on that node's device.
-    node_busy_s: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    def percentile(self, p: float) -> float:
-        return shared_percentile(self.latencies, p)
-
-    @property
-    def p50_s(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p95_s(self) -> float:
-        return self.percentile(95)
-
-    @property
-    def mean_s(self) -> float:
-        return float(np.mean(self.latencies)) if self.latencies else 0.0
-
-
 class _NodeTimeline:
     """Virtual device state for one node during a replay."""
 
@@ -729,25 +690,25 @@ def replay_cluster(
     cache_bytes: int | None = None,
     hedge_fraction: float | None = None,
     hedge_floor_s: float = 0.05,
-) -> ClusterLoadReport:
+) -> LoadReport:
     """Replay a schedule against the cluster in virtual time.
 
-    The cluster analogue of
-    :func:`repro.server.loadgen.replay_virtual`: each node is an
-    independent FIFO device timeline with its own head position and
-    optional LRU cache.  For every request the router's replica set is
-    consulted; replicas that are down, faulted, or missing the copy
-    are failed over (``cluster.node_crash`` fires on each considered
-    node's own fault plan, so an armed crash kills exactly the node —
-    and only the node — the plan targets).  Among the healthy replicas
-    the *shortest queue* serves — the load-balance rule that makes
-    N nodes behave like an N-server queue instead of N/1 independent
-    ones.
+    Each node is an independent FIFO device timeline with its own head
+    position and optional LRU cache; a one-node, one-replica router is
+    one shared device served in arrival order.  For every request the
+    router's replica set is consulted; replicas that are down, faulted,
+    or missing the copy are failed over (``cluster.node_crash`` fires on
+    each considered node's own fault plan, so an armed crash kills
+    exactly the node — and only the node — the plan targets).  Among
+    the healthy replicas the *shortest queue* serves — the load-balance
+    rule that makes N nodes behave like an N-server queue instead of
+    N/1 independent ones.
 
     With ``hedge_fraction`` set, a request whose predicted wait on the
     chosen node exceeds ``hedge_floor_s + hedge_fraction ×`` (its own
     service time) is also issued to the next-shortest replica; both
-    devices are charged (hedges are not free) and the earlier finish
+    devices are charged (hedges are not free, and both count in
+    ``device_reads`` and ``device_busy_s``) and the earlier finish
     wins.
 
     Fully deterministic for a given schedule and fault plan; the
@@ -758,7 +719,7 @@ def replay_cluster(
         node_id: _NodeTimeline(node, cache_bytes)
         for node_id, node in router.nodes.items()
     }
-    report = ClusterLoadReport()
+    report = LoadReport()
     for node_id in router.nodes:
         report.node_reads[node_id] = 0
         report.node_busy_s[node_id] = 0.0
@@ -870,7 +831,7 @@ def replay_cluster(
 
 
 def _charge(
-    report: ClusterLoadReport,
+    report: LoadReport,
     timeline: _NodeTimeline,
     extent,
     start: float,
@@ -880,3 +841,5 @@ def _charge(
     timeline.device_free = start + service
     timeline.head = extent.end
     report.node_busy_s[timeline.node.node_id] += service
+    report.device_busy_s += service
+    report.device_reads += 1

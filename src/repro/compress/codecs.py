@@ -229,6 +229,13 @@ def dvarint_decode(payload: bytes, raw_len: int) -> bytes:
             out.append(byte)
         else:
             run, i = _read_varint(payload, i)
+            # Checked before the run is allocated: a few payload bytes
+            # can declare gigabytes of zeros.
+            if run > raw_len - len(out):
+                raise MediaCodecError(
+                    f"dvarint zero-run of {run} bytes overruns declared "
+                    f"length {raw_len}"
+                )
             out += b"\x00" * run
         if len(out) > raw_len:
             raise MediaCodecError(
@@ -252,11 +259,22 @@ def deflate_encode(raw: bytes) -> bytes:
 
 
 def deflate_decode(payload: bytes, raw_len: int) -> bytes:
-    """zlib-decompress, rejecting corrupt or wrong-length streams."""
+    """zlib-decompress, rejecting corrupt or wrong-length streams.
+
+    Output is capped one byte past ``raw_len``, so a small stream that
+    inflates far beyond its header is rejected without materializing.
+    """
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(payload)
+        raw = inflater.decompress(payload, raw_len + 1)
     except zlib.error as exc:
         raise MediaCodecError(f"deflate payload corrupt: {exc}") from None
+    if len(raw) > raw_len:
+        raise MediaCodecError(
+            f"deflate stream expands past declared length {raw_len}"
+        )
+    if not inflater.eof:
+        raise MediaCodecError("deflate stream truncated")
     if len(raw) != raw_len:
         raise MediaCodecError(
             f"deflate stream yields {len(raw)} bytes, header says {raw_len}"

@@ -20,7 +20,7 @@ Two delivery policies bracket the paper's Section-5 claim:
     the next pages into the shared cache *and* onward to the station.
 
 The replay is a deterministic discrete-event simulation (same stance
-as :func:`repro.server.loadgen.replay_virtual`): one shared device
+as :func:`repro.cluster.router.replay_cluster`): one shared device
 served FIFO in issue order, one shared medium arbitrated by the chunk
 scheduler, all latencies in simulated seconds.
 """
@@ -478,7 +478,7 @@ class DeliveryPipeline:
         base = self._archiver.data_extent(session.object_id, session.tag)
         start_byte = chunks[0].offset
         length = chunks[-1].offset + chunks[-1].length - start_byte
-        ready = self._device_read(
+        _, ready = self._device_read(
             Extent(base.offset + start_byte, length),
             parent=self._stream_ctx.get(station),
         )
@@ -500,7 +500,7 @@ class DeliveryPipeline:
         session = self._sessions[station]
         chunk = session.chunk(seq)
         base = self._archiver.data_extent(session.object_id, session.tag)
-        ready = self._device_read(
+        _, ready = self._device_read(
             Extent(base.offset + chunk.offset, chunk.length),
             parent=self._stream_ctx.get(station),
         )
@@ -795,10 +795,10 @@ class DeliveryPipeline:
 
     def _device_read(
         self, extent: Extent, *, parent: SpanContext | None = None
-    ) -> float:
-        """FIFO device read; returns the simulated completion time."""
+    ) -> tuple[bytes, float]:
+        """FIFO device read; returns the bytes and the completion time."""
         start = max(self._device_free, self._now)
-        _, service = self._archiver.read_raw(extent)
+        data, service = self._archiver.read_raw(extent)
         ready = start + service
         self._device_free = ready
         self._device_busy += service
@@ -808,7 +808,7 @@ class DeliveryPipeline:
                 "device_read", ObsSpanKind.DEVICE, start, ready,
                 bytes=extent.length,
             )
-        return ready
+        return data, ready
 
     def _fetch_cached(
         self, object_id: ObjectId, tag: str, start: int, length: int
@@ -835,20 +835,9 @@ class DeliveryPipeline:
                 f"range [{start}, {start + length}) exceeds piece "
                 f"{tag!r} of length {base.length}"
             )
-        data_start = max(self._device_free, self._now)
-        data, service = self._archiver.read_raw(
-            Extent(base.offset + start, length)
-        )
-        ready = data_start + service
-        self._device_free = ready
-        self._device_busy += service
+        data, ready = self._device_read(Extent(base.offset + start, length))
         self.cache.put(key, data)
         self._key_ready[key] = ready
-        if self.obs is not None:
-            self.obs.emit(
-                current_span(), "device_read", ObsSpanKind.DEVICE,
-                data_start, ready, bytes=length,
-            )
         return ready
 
     def _split_bulk(

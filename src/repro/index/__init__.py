@@ -29,14 +29,12 @@ from repro.index.planner import (
     terms_query,
 )
 from repro.index.postings import BOTH, TEXT, UNIT_GAP, VOICE, Posting
-from repro.index.sharding import HashRing, stable_hash
 
 __all__ = [
     "AndNode",
     "ArchiveIndex",
     "BOTH",
     "CompactionResult",
-    "HashRing",
     "IndexMetrics",
     "IndexMetricsSnapshot",
     "IndexShard",
@@ -56,6 +54,5 @@ __all__ = [
     "leaf_terms",
     "matches_units",
     "parse_query",
-    "stable_hash",
     "terms_query",
 ]

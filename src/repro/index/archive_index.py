@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
+from repro.cluster.placement import HashRing
 from repro.errors import QueryError
 from repro.ids import ObjectId
 from repro.index.lsm import CompactionResult, IndexShard, Segment
@@ -39,7 +39,6 @@ from repro.index.planner import (
     terms_query,
 )
 from repro.index.postings import BOTH, VOICE, Posting, validate_channel
-from repro.index.sharding import HashRing
 from repro.obs.context import bind as bind_span
 from repro.obs.context import current as current_span
 from repro.obs.spans import SpanKind as ObsSpanKind
@@ -60,9 +59,6 @@ class ArchiveIndex:
     metrics:
         Optional :class:`IndexMetrics` (a private one is created
         otherwise).
-    parallel_lookup:
-        Look terms up across shards concurrently when a query needs
-        more than one term.  Results are identical either way.
     """
 
     def __init__(
@@ -71,7 +67,6 @@ class ArchiveIndex:
         memtable_budget_bytes: int = 64 * 1024,
         replicas: int = 64,
         metrics: IndexMetrics | None = None,
-        parallel_lookup: bool = True,
         fault_plan=None,
     ) -> None:
         if n_shards < 1:
@@ -87,11 +82,9 @@ class ArchiveIndex:
             )
             for shard_id in range(n_shards)
         }
-        self._parallel = parallel_lookup
-        self._executor: ThreadPoolExecutor | None = None
         #: Optional span recorder (set by the owning archiver/frontend):
         #: queries emit an ``index:query`` span with one ``index:shard``
-        #: child per term lookup, fanned out across executor threads.
+        #: child per term lookup.
         self.obs = None
         # Object tables: storage ordinal (insertion order, which is
         # storage order on the append-only platter) and the latest
@@ -200,25 +193,10 @@ class ArchiveIndex:
     # ------------------------------------------------------------------
 
     def lookup(self, terms: set[str]) -> dict[str, list[Posting]]:
-        """Live postings of every term, looked up shard-parallel.
+        """Live postings of every term, each read from its shard."""
+        return {term: self._lookup_one(term) for term in sorted(terms)}
 
-        The ambient span context is captured *here*, on the submitting
-        thread, and handed to each shard lookup explicitly — executor
-        threads have their own (empty) ambient context, so the fan-out
-        would otherwise orphan the per-shard spans.
-        """
-        term_list = sorted(terms)
-        parent = current_span()
-        if self._parallel and len(term_list) > 1:
-            executor = self._ensure_executor()
-            futures = {
-                term: executor.submit(self._lookup_one, term, parent)
-                for term in term_list
-            }
-            return {term: future.result() for term, future in futures.items()}
-        return {term: self._lookup_one(term, parent) for term in term_list}
-
-    def _lookup_one(self, term: str, span_parent=None) -> list[Posting]:
+    def _lookup_one(self, term: str) -> list[Posting]:
         shard_id = self._ring.shard_for(term)
         start = time.perf_counter()
         postings = self._shards[shard_id].postings(term, live=self._live)
@@ -227,21 +205,11 @@ class ArchiveIndex:
         if self.obs is not None:
             now = self.obs.now()
             self.obs.emit(
-                span_parent, "index:shard", ObsSpanKind.INDEX,
+                current_span(), "index:shard", ObsSpanKind.INDEX,
                 now, now + elapsed, shard=shard_id, term=term,
                 postings=len(postings),
             )
         return postings
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            with self._lock:
-                if self._executor is None:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=min(8, len(self._shards)),
-                        thread_name_prefix="index-shard",
-                    )
-        return self._executor
 
     def query(self, query: str | Node, channel: str = BOTH) -> list[ObjectId]:
         """Objects matching a term/phrase/boolean query, in storage order.

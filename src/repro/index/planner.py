@@ -2,7 +2,7 @@
 
 The planner answers term, phrase and boolean queries with channel
 filters.  A query is parsed into a small AST; the planner then collects
-every leaf term, looks each up in its shard (in parallel — consistent
+every leaf term, looks each up in its shard in turn (consistent
 hashing means the shard of a term is known without coordination), and
 evaluates the AST over the returned posting sets.
 

@@ -12,8 +12,9 @@ The propagation rule (docs/OBSERVABILITY.md) is two-tier:
 
 ``contextvars`` gives each thread (and each DES callback chain, which
 is single-threaded) its own binding, so frontend workers never see
-each other's contexts.  Thread-pool fan-out (index shard lookups)
-crosses threads, so those call sites pass the parent explicitly.
+each other's contexts.  A hand-off to another thread (the frontend's
+worker pool) crosses bindings, so that call site carries the parent
+explicitly.
 """
 
 from __future__ import annotations

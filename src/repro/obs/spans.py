@@ -36,7 +36,7 @@ class SpanKind(enum.Enum):
     CLUSTER = "cluster"  # router read / quorum write / replica attempt
     MIGRATE = "migrate"  # rebalancer migration step
     DELIVERY = "delivery"  # chunk scheduling, streams, prefetch
-    INDEX = "index"  # index query + per-shard fan-out
+    INDEX = "index"  # index query + per-shard lookups
     COMPRESS = "compress"  # media codec encode / decode
 
 

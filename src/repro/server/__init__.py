@@ -27,7 +27,6 @@ from repro.server.loadgen import (
     LoadRequest,
     build_schedule,
     replay_threaded,
-    replay_virtual,
     station_subset,
     zipf_weights,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "VersionStore",
     "build_schedule",
     "replay_threaded",
-    "replay_virtual",
     "simulate_schedule",
     "station_subset",
     "total_seek_distance",

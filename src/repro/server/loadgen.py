@@ -1,15 +1,21 @@
 """Deterministic multi-workstation load generation and replay.
 
-Two replay modes exercise the serving stack:
+Schedules are generated from a seeded RNG: per-station Poisson
+arrivals over a zipf-skewed object popularity distribution — a few hot
+documents take most of the traffic, the regime where a shared cache
+pays off.
 
-``replay_virtual``
-    A discrete-event replay in *simulated time*: one shared optical
-    device, FIFO service, optional shared cache with single-flight
-    piggybacking.  Fully deterministic for a given schedule, so the
-    C-CONC benchmark can assert latency-curve shapes (p95 grows with
-    contention; the cache flattens it) with exact numbers.
+Two replays consume them:
 
-``replay_threaded``
+:func:`repro.cluster.router.replay_cluster`
+    The one discrete-event replay in *simulated time*: one FIFO device
+    timeline per node, optional per-node caches with single-flight
+    piggybacking.  A one-node, one-replica router is the single shared
+    optical device of Section 5, so the C-CONC benchmark asserts its
+    latency-curve shapes (p95 grows with contention; the cache
+    flattens it) with exact numbers on that router.
+
+:func:`replay_threaded`
     Drives a real :class:`~repro.server.frontend.ServerFrontend` with
     one OS thread per workstation.  Thread interleaving is up to the
     host scheduler, so per-request latencies vary run to run — but the
@@ -17,10 +23,7 @@ Two replay modes exercise the serving stack:
     effectiveness) are the quantities the queueing claim is about, and
     those are asserted on.
 
-Schedules are generated from a seeded RNG: per-station Poisson
-arrivals over a zipf-skewed object popularity distribution — a few hot
-documents take most of the traffic, the regime where a shared cache
-pays off.
+Both return a :class:`LoadReport`.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ import numpy as np
 
 from repro.errors import ArchiverError, ServerBusyError
 from repro.ids import ObjectId
-from repro.server.archiver import Archiver, CachingArchiver
+from repro.server.archiver import CachingArchiver
 from repro.server.frontend import ServerFrontend
-from repro.server.metrics import ServerMetrics
 from repro.server.metrics import percentile as shared_percentile
-from repro.storage.cache import LRUCache
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,12 @@ class LoadRequest:
 
 @dataclass
 class LoadReport:
-    """Aggregate outcome of a replay."""
+    """Aggregate outcome of a replay.
+
+    The cluster fields, ``failed_reads`` through ``node_busy_s``, are
+    only filled by :func:`repro.cluster.router.replay_cluster`;
+    ``rejected`` only by :func:`replay_threaded`.
+    """
 
     latencies: list[float] = field(default_factory=list)
     device_busy_s: float = 0.0
@@ -59,6 +65,14 @@ class LoadReport:
     cache_hits: int = 0
     piggybacks: int = 0
     rejected: int = 0
+    failed_reads: int = 0
+    failovers: int = 0
+    hedges: int = 0
+    hedge_wins: int = 0
+    #: node id -> reads served there.
+    node_reads: dict[int, int] = field(default_factory=dict)
+    #: node id -> simulated busy seconds on that node's device.
+    node_busy_s: dict[int, float] = field(default_factory=dict)
 
     @property
     def completed(self) -> int:
@@ -153,67 +167,6 @@ def station_subset(
     """
     keep = {f"ws-{i}" for i in range(stations)}
     return [request for request in schedule if request.station in keep]
-
-
-def replay_virtual(
-    archiver: Archiver | CachingArchiver,
-    schedule: list[LoadRequest],
-    *,
-    cache_bytes: int | None = None,
-    metrics: ServerMetrics | None = None,
-) -> LoadReport:
-    """Replay a schedule in virtual time against one shared device.
-
-    The device serves fetches FIFO in arrival order; each fetch's
-    service time comes from the device geometry and head position, so
-    queueing delay emerges exactly as in Section 5.  With
-    ``cache_bytes`` set, a shared LRU cache absorbs repeats and
-    in-flight fetches absorb concurrent duplicates (single-flight):
-    a request arriving while its object is already being fetched
-    completes when that fetch does, adding no device work.
-
-    The archiver is only consulted for object extents — no bytes are
-    actually read, which keeps the replay O(requests).
-    """
-    geometry = archiver.disk.geometry
-    cache = LRUCache(cache_bytes) if cache_bytes else None
-    flights: dict[str, float] = {}  # key -> finish time of last fetch
-    report = LoadReport()
-    device_free = 0.0
-    head = 0
-    for request in sorted(schedule, key=lambda r: (r.arrival_s, r.request_id)):
-        key = f"obj/{request.object_id}"
-        extent = archiver.record(request.object_id).extent
-        arrival = request.arrival_s
-        service = 0.0
-        if cache is not None and flights.get(key, 0.0) > arrival:
-            # Piggyback on the in-flight fetch of the same object.
-            finish = flights[key]
-            latency = finish - arrival
-            report.piggybacks += 1
-        elif cache is not None and cache.get(key) is not None:
-            finish = arrival
-            latency = 0.0
-            report.cache_hits += 1
-        else:
-            start = max(device_free, arrival)
-            service = geometry.access_time(head, extent)
-            finish = start + service
-            device_free = finish
-            head = extent.end
-            report.device_busy_s += service
-            report.device_reads += 1
-            latency = finish - arrival
-            if cache is not None:
-                cache.put(key, bytes(extent.length))
-                flights[key] = finish
-        report.latencies.append(latency)
-        if metrics is not None:
-            metrics.on_complete(
-                request.station, "fetch", latency, service, finish,
-                cache_hit=(service == 0.0),
-            )
-    return report
 
 
 def replay_threaded(

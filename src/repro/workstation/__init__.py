@@ -2,14 +2,13 @@
 
 The 1986 MINOS implementation ran on a SUN-3 workstation with voice
 input/output hardware.  This package substitutes a fully simulated
-workstation: a :class:`~repro.workstation.clock.SimClock` models elapsed
-time, a :class:`~repro.workstation.screen.Screen` models the display
-(page regions, pinned logical messages, transparency compositing), an
+workstation: a :class:`~repro.clock.SimClock` models elapsed time, a
+:class:`~repro.workstation.screen.Screen` models the display (page
+regions, pinned logical messages, transparency compositing), an
 :class:`~repro.workstation.audio_out.AudioOutput` models the speaker,
 and every observable action is appended to a
-:class:`~repro.workstation.events.Trace`.  Tests and benchmarks assert
-against the trace, which plays the role of "what the user saw and
-heard".
+:class:`~repro.trace.Trace`.  Tests and benchmarks assert against the
+trace, which plays the role of "what the user saw and heard".
 """
 
 from repro.clock import SimClock

@@ -1,8 +1,8 @@
 """The replicated, sharded multi-archiver object service.
 
 Covers the whole of :mod:`repro.cluster`: ring placement (including
-the byte-identity guarantee for the ring that moved out of
-``repro.index.sharding``), node lifecycle, quorum writes, failover and
+the byte-identity guarantee for the ring the index shards its terms
+with), node lifecycle, quorum writes, failover and
 hedged reads, the frontend protocol the delivery pipeline speaks, the
 deterministic cluster replay, and join/leave/catch-up rebalancing.
 """
@@ -69,21 +69,14 @@ class TestShardingBackCompat:
         "minos": 2, "xray": 6, "voice": 7, "zebra": 3,
     }
 
-    def test_reexport_is_the_same_class(self):
-        from repro.cluster import placement
-        from repro.index import sharding
-
-        assert sharding.HashRing is placement.HashRing
-        assert sharding.stable_hash is placement.stable_hash
-
     def test_shard_assignments_byte_identical(self):
-        from repro.index.sharding import HashRing as ReExported
+        from repro.cluster.placement import HashRing as PlacementRing
 
-        ring = ReExported([0, 1, 2, 3], replicas=64)
+        ring = PlacementRing([0, 1, 2, 3], replicas=64)
         assert {t: ring.shard_for(t) for t in self.GOLDEN_4x64} == (
             self.GOLDEN_4x64
         )
-        ring8 = ReExported(list(range(8)), replicas=32)
+        ring8 = PlacementRing(list(range(8)), replicas=32)
         assert {t: ring8.shard_for(t) for t in self.GOLDEN_8x32} == (
             self.GOLDEN_8x32
         )

@@ -9,6 +9,9 @@ contract.
 
 from __future__ import annotations
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,8 @@ from repro.compress import (
     maybe_decode,
 )
 from repro.compress.codecs import (
+    deflate_decode,
+    deflate_encode,
     dvarint_decode,
     dvarint_encode,
     rle8_decode,
@@ -144,6 +149,53 @@ class TestCodecs:
             rle8_decode(rle8_encode(raw), len(raw) + 1)
         with pytest.raises(MediaCodecError):
             dvarint_decode(dvarint_encode(raw), len(raw) - 1)
+
+    def test_deflate_rejects_short_long_and_truncated_streams(self):
+        raw = b"minos " * 50
+        packed = deflate_encode(raw)
+        assert deflate_decode(packed, len(raw)) == raw
+        for declared, payload in (
+            (len(raw) + 1, packed),  # stream shorter than the header
+            (len(raw) - 1, packed),  # stream longer than the header
+            (len(raw), packed[:-4]),  # checksum cut off
+        ):
+            with pytest.raises(MediaCodecError):
+                deflate_decode(payload, declared)
+
+
+def _peak_bytes_while_rejected(decode, payload, raw_len):
+    """Peak traced allocation while ``decode`` rejects ``payload``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MediaCodecError):
+            decode(payload, raw_len)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDecodeBombs:
+    """A few payload bytes must not make the decoder allocate megabytes
+    before it notices the frame header declared far less."""
+
+    BOMB_BYTES = 64 * 1024 * 1024
+
+    def test_dvarint_zero_run_bomb(self):
+        # A zero delta, then the varint of BOMB_BYTES (1 << 26): seven
+        # bits per byte, low group first, high bit = more to come.
+        payload = b"\x00\x80\x80\x80\x20"
+        peak = _peak_bytes_while_rejected(dvarint_decode, payload, 10)
+        assert peak < 1024 * 1024
+
+    def test_deflate_bomb(self):
+        deflater = zlib.compressobj(6)
+        chunk = bytes(1024 * 1024)
+        payload = b"".join(
+            deflater.compress(chunk)
+            for _ in range(self.BOMB_BYTES // len(chunk))
+        ) + deflater.flush()
+        peak = _peak_bytes_while_rejected(deflate_decode, payload, 10)
+        assert peak < 1024 * 1024
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The archive-wide symmetric content index (repro.index)."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.audio.recognition import VocabularyRecognizer
 from repro.audio.signal import Recording, synthesize_speech
+from repro.cluster.placement import HashRing, stable_hash
 from repro.errors import QueryError
 from repro.ids import IdGenerator, ObjectId
 from repro.index import (
@@ -14,7 +17,6 @@ from repro.index import (
     VOICE,
     AndNode,
     ArchiveIndex,
-    HashRing,
     IndexMetrics,
     IndexShard,
     NotNode,
@@ -23,7 +25,6 @@ from repro.index import (
     Posting,
     TermNode,
     parse_query,
-    stable_hash,
 )
 from repro.objects import DrivingMode, MultimediaObject, PresentationSpec
 from repro.objects.attributes import AttributeSet
@@ -287,11 +288,16 @@ class TestArchiveIndex:
         assert index.posting_count == 4
         assert index.nbytes > 0
 
-    def test_serial_lookup_matches_parallel(self):
-        serial = self._index(parallel_lookup=False)
-        parallel = self._index(parallel_lookup=True)
-        for query in ("budget AND review", "urgent OR review"):
-            assert serial.query(query) == parallel.query(query)
+    def test_multi_term_queries_start_no_threads(self):
+        # Term lookups run in a loop on the querying thread: a query
+        # leaves no worker threads behind.
+        before = set(threading.enumerate())
+        index = self._index()
+        assert index.query("budget AND review") == [ObjectId("doc")]
+        assert index.query("urgent OR review") == [
+            ObjectId("doc"), ObjectId("memo"),
+        ]
+        assert set(threading.enumerate()) - before == set()
 
     def test_shard_count_validation(self):
         with pytest.raises(ValueError):
